@@ -128,13 +128,19 @@ func (d *daemon) close() error {
 type recovery struct {
 	Seconds  float64
 	Replayed int
-	State    *stream.EngineState
+	// Stats are the recovered engine's counters once every logged
+	// submission is visible again.
+	Stats stream.Stats
+	// State is the recovered engine's export, when asked for.
+	State *stream.EngineState
 }
 
 // recoverDir times persist.Open on dir until Resume returns a started
-// engine, waits until every logged submission is visible, and exports the
-// recovered state. The recovered engine is then shut down.
-func recoverDir(cfg stream.Config, dir string, visible int64, tr *tracer) (recovery, error) {
+// engine, then waits until visible submissions are visible and reads the
+// recovered counters and, with export, the recovered state. The recovered
+// engine is then shut down without a checkpoint, so dir can be recovered
+// again.
+func recoverDir(cfg stream.Config, dir string, visible int64, export bool, tr *tracer) (recovery, error) {
 	cfg.Metrics = nil
 	_, end := tr.begin("persist.Open+Resume", 0)
 	t0 := time.Now()
@@ -156,7 +162,11 @@ func recoverDir(cfg stream.Config, dir string, visible int64, tr *tracer) (recov
 	if err := waitVisible(eng, visible, time.Minute); err != nil {
 		return recovery{}, fmt.Errorf("recover: %w", err)
 	}
-	return recovery{Seconds: secs, Replayed: info.Replayed, State: eng.ExportState()}, nil
+	rec := recovery{Seconds: secs, Replayed: info.Replayed, Stats: eng.Stats()}
+	if export {
+		rec.State = eng.ExportState()
+	}
+	return rec, nil
 }
 
 // waitVisible blocks until the engine has made n submissions visible.

@@ -102,7 +102,10 @@ func digestsEqual(pass int, got, want string) error {
 
 // runIngestWorkload sets up setupRepeats times (generation plus engine
 // construction), then runs closed-loop passes over fresh engines until the
-// timed region has lasted --seconds, at least one pass. A traced run makes
+// timed region has lasted --seconds, at least one pass. Before each pass's
+// engine is built, the live heap is read: the harness's own inputs (the
+// fixture, and on paper-corpus the batch reference), which peak_heap_mib
+// leaves out. A traced run makes
 // exactly two passes, the first untraced, to measure the tracing overhead.
 // Only the last pass's engine is kept: it replays the what-if document, and
 // its final state is served, read, checkpointed, stopped and recovered like
@@ -110,15 +113,14 @@ func digestsEqual(pass int, got, want string) error {
 func runIngestWorkload(r *runner, w ingestWorkload) error {
 	var setups []time.Duration
 	var fx fixture
-	var eng *stream.Engine
 	for i := 0; i < setupRepeats; i++ {
 		runtime.GC()
 		t0 := time.Now()
 		f := w.generate(r.seed)
-		e := stream.New(f.cfg)
+		stream.New(f.cfg)
 		setups = append(setups, time.Since(t0))
 		if i == 0 {
-			fx, eng = f, e
+			fx = f
 		}
 	}
 
@@ -129,20 +131,18 @@ func runIngestWorkload(r *runner, w ingestWorkload) error {
 	t0 := time.Now()
 	for i := 0; ; i++ {
 		traced := r.trace && i == 1
-		if i > 0 {
-			cfg := fx.cfg
-			if traced {
-				tr, reg = newTracer(r.runID), obs.NewRegistry()
-				cfg.Metrics = reg
-			}
-			eng = stream.New(cfg)
+		cfg := fx.cfg
+		if traced {
+			tr, reg = newTracer(r.runID), obs.NewRegistry()
+			cfg.Metrics = reg
 		}
 		last = ingestPass{} // release the previous pass's engine first
-		runtime.GC()
-		p, err := runIngest(r, eng, fx, tr)
+		heap0 := liveHeapMiB()
+		p, err := runIngest(r, stream.New(cfg), fx, tr)
 		if err != nil {
 			return err
 		}
+		p.peakMiB -= heap0
 		if p.digest, err = resultsDigest(p.res); err != nil {
 			return err
 		}

@@ -17,19 +17,20 @@ var endToEnd = []metricSpec{
 	{"cpu_ms_per_sample", "ms", "lower"},
 	{"peak_heap_mib", "MiB", "lower"},
 	{"read_p50_ms", "ms", "lower"},
-	{"read_sustained_rps", "req/s", "higher"},
 	{"success_rate", "ratio", "higher"},
 }
 
 // reportedEndToEnd are end-to-end figures every run measures and reports,
 // but whose run-to-run spread on the recording host (0.2 to 1.2 of the
-// median over ten seeds) leaves no room for a regression bound of at most a
-// quarter. They are listed with the per-layer metrics, which carry no
-// bound, rather than gated.
+// median over ten seeds; read_sustained_rps beside writes from 700 to 9100
+// req/s, as one 50 ms stall fails a rung) leaves no room for a regression
+// bound of at most a quarter. They are listed with the per-layer metrics,
+// which carry no bound, rather than gated.
 var reportedEndToEnd = []metricSpec{
 	{"fresh_lag_p50_ms", "ms", "lower"},
 	{"fresh_lag_p99_ms", "ms", "lower"},
 	{"read_p99_ms", "ms", "lower"},
+	{"read_sustained_rps", "req/s", "higher"},
 	{"scenario_replay_s", "s", "lower"},
 	{"checkpoint_s", "s", "lower"},
 	{"recovery_s", "s", "lower"},

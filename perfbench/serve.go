@@ -16,23 +16,27 @@ import (
 
 // serveSession is one serve-durable session's measurements.
 type serveSession struct {
-	setups    []time.Duration
-	samples   int
-	wall      time.Duration // first write due until the last write visible
-	drain     time.Duration // last write sent until it is visible
-	cpu       time.Duration
-	analyzed  int64
-	peakMiB   float64
-	lags      []float64
-	reads     readReport
-	late      []float64
-	ckpts     []float64
-	postBusy  time.Duration
-	replay    time.Duration
-	export    time.Duration
-	rec       recovery
-	publishes uint64
-	reg       *obs.Registry
+	setups   []time.Duration
+	samples  int
+	wall     time.Duration // first write due until the last write visible
+	drain    time.Duration // last write sent until it is visible
+	analyzed int64
+	// cpu is the process CPU over the nominal read window, and cpuSamples
+	// the samples absorbed meanwhile: the read load is fixed there, while
+	// the climb's depends on how far it gets.
+	cpu        time.Duration
+	cpuSamples int64
+	peakMiB    float64
+	lags       []float64
+	reads      readReport
+	late       []float64
+	ckpts      []float64
+	postBusy   time.Duration
+	replay     time.Duration
+	export     time.Duration
+	rec        recovery
+	publishes  uint64
+	reg        *obs.Registry
 	// fx holds the warm and written samples and kept the records the
 	// daemon kept, for the layer pass.
 	fx   fixture
@@ -45,13 +49,20 @@ const (
 	opCheckpoint
 )
 
+// serveSpan is how long the serve-durable writes last: the nominal read
+// window, then the longest climb the read ladder can make, so the reads
+// always run beside writes.
+func serveSpan(seconds int) time.Duration {
+	return serveNominal(seconds) + maxClimb(serveReads(seconds).Nominal)
+}
+
 // serveWriteSchedule lays out the write connection for a run: NDJSON
-// batches at serveWriteRate throughout, and serveCheckpoints checkpoints
-// spread evenly over the nominal read window, so that window's reads and
-// the write lags always see the same checkpoints and the ladder's upper
-// steps see none. scheduled.Step carries the op kind.
+// batches at serveWriteRate for serveSpan, and serveCheckpoints
+// checkpoints spread evenly over the nominal read window, so that window's
+// reads and the write lags always see the same checkpoints and the climb
+// sees none. scheduled.Step carries the op kind.
 func serveWriteSchedule(seconds int) (ops []scheduled, batches int) {
-	total := time.Duration(seconds) * time.Second
+	total := serveSpan(seconds)
 	gap := time.Second * serveBatch / serveWriteRate
 	for t := time.Duration(0); t < total; t += gap {
 		ops = append(ops, scheduled{Due: t, Step: opWrite})
@@ -84,7 +95,7 @@ func runServeDurable(r *runner) error {
 	r.e2e = map[string]float64{
 		"setup_s":              medianSeconds(base.setups),
 		"ingest_samples_per_s": safeDiv(float64(base.analyzed), base.wall.Seconds()),
-		"cpu_ms_per_sample":    safeDiv(ms(base.cpu), float64(base.analyzed)),
+		"cpu_ms_per_sample":    safeDiv(ms(base.cpu), float64(base.cpuSamples)),
 		"peak_heap_mib":        base.peakMiB,
 		"scenario_replay_s":    base.replay.Seconds(),
 		"fresh_lag_p50_ms":     lag.P50,
@@ -125,7 +136,7 @@ func runServeDurable(r *runner) error {
 	r.layer["persist.resume_replayed"] = float64(traced.rec.Replayed)
 	r.layer["scenario.export_state_ms"] = ms(traced.export)
 	r.layer["bench.generator_late_p99_ms"] = summarize(traced.late).P99
-	r.layer["bench.trace_overhead_pct"] = (safeDiv(ms(traced.cpu)/float64(traced.analyzed), ms(base.cpu)/float64(base.analyzed)) - 1) * 100
+	r.layer["bench.trace_overhead_pct"] = (safeDiv(safeDiv(ms(traced.cpu), float64(traced.cpuSamples)), safeDiv(ms(base.cpu), float64(base.cpuSamples))) - 1) * 100
 	for k, v := range layerPass(layerInputs{cfg: traced.fx.cfg, samples: traced.fx.samples, kept: traced.kept}, tr) {
 		r.layer[k] = v
 	}
@@ -197,10 +208,13 @@ func serveOnce(r *runner, warm string, reg *obs.Registry, tr *tracer) (serveSess
 	// warm directory (the copy is not timed: it stands for the directory a
 	// restarting daemon finds); the median of setupRepeats builds is
 	// setup_s, and the last build serves the run. The writes continue the
-	// feed where the warm state ends.
+	// feed where the warm state ends. Between generating and building, off
+	// the clock, the live heap is read: the harness's own inputs (the
+	// fixture and its wire copies), which peak_heap_mib leaves out.
 	var d *daemon
 	var wire []apiv1.Sample
 	var cfgFx fixture
+	var heap0 float64
 	for i := 0; i < setupRepeats; i++ {
 		if d != nil {
 			if err := d.close(); err != nil {
@@ -208,6 +222,7 @@ func serveOnce(r *runner, warm string, reg *obs.Registry, tr *tracer) (serveSess
 			}
 			os.RemoveAll(d.dir)
 		}
+		d, wire, cfgFx = nil, nil, fixture{}
 		dir, err := tempDir(r.scratch, "daemon-")
 		if err != nil {
 			return s, err
@@ -219,11 +234,14 @@ func serveOnce(r *runner, warm string, reg *obs.Registry, tr *tracer) (serveSess
 		t0 := time.Now()
 		fx := feedFixture(r.seed, serveBase+s.samples)
 		wire = sampleWire(fx.samples[serveBase:])
+		gen := time.Since(t0)
+		heap0 = liveHeapMiB()
+		t1 := time.Now()
 		d, err = startDaemon(fx.cfg, dir, nil, reg)
 		if err != nil {
 			return s, err
 		}
-		s.setups = append(s.setups, time.Since(t0))
+		s.setups = append(s.setups, gen+time.Since(t1))
 		cfgFx = fx
 	}
 	s.fx = cfgFx
@@ -275,7 +293,10 @@ func serveOnce(r *runner, warm string, reg *obs.Registry, tr *tracer) (serveSess
 		})
 		written <- wr
 	}()
-	s.reads = runReads(d, serveReads(r.seconds), r.seed, start, false, tr)
+	s.reads = runReads(d, serveReads(r.seconds), r.seed, start, false, tr, func() {
+		s.cpu = cpuTime() - cpu0
+		s.cpuSamples = d.eng.Stats().Analyzed - analyzed0
+	})
 	wr := <-written
 	lastSent := start
 	for _, o := range wr.rs {
@@ -290,9 +311,8 @@ func serveOnce(r *runner, warm string, reg *obs.Registry, tr *tracer) (serveSess
 	visibleAt := time.Now()
 	s.wall = visibleAt.Sub(start)
 	s.drain = visibleAt.Sub(lastSent)
-	s.cpu = cpuTime() - cpu0
 	poll.Stop()
-	s.peakMiB = liveHeapMiB()
+	s.peakMiB = liveHeapMiB() - heap0
 	s.analyzed = d.eng.Stats().Analyzed - analyzed0
 	s.publishes = d.eng.CurrentView().Epoch - epoch0
 	var missing int

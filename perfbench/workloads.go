@@ -55,7 +55,7 @@ const (
 	// generator skips it (its step has failed by then anyway).
 	readMaxLate = 250 * time.Millisecond
 	// setupRepeats is how many times a run sets up; setup_s is the median.
-	setupRepeats = 3
+	setupRepeats = 5
 )
 
 // Repetition of the one-off operations (scenario replay, recovery, the
@@ -288,123 +288,6 @@ func scenarioReduces(job scenario.Job) error {
 	return nil
 }
 
-// readLadder is a read ladder: the nominal rate over nominalWindows equal
-// windows, then one step above it. The nominal latency is the median over
-// the windows of each window's p50 and p99, so one window hit by a burst of
-// host noise or a collection does not move the run. Rates close to the
-// host's limit are left out on purpose: a step that passes in some runs and
-// fails in others would make read_sustained_rps jump between them.
-type readLadder struct {
-	Nominal float64       // req/s
-	Window  time.Duration // length of each nominal window
-	Upper   float64       // req/s of the step above nominal
-	UpperD  time.Duration
-}
-
-// nominalWindows is how many windows the nominal rate is measured over;
-// each holds at least 1000 requests, so its p99 has ten beyond it.
-const nominalWindows = 3
-
-func (l readLadder) steps() []step {
-	var out []step
-	for i := 0; i < nominalWindows; i++ {
-		out = append(out, step{Rate: l.Nominal, Duration: l.Window})
-	}
-	return append(out, step{Rate: l.Upper, Duration: l.UpperD})
-}
-
-// finalReads is the ladder over a finished ingest's state.
-var finalReads = readLadder{Nominal: 500, Window: 2 * time.Second, Upper: 1000, UpperD: time.Second}
-
-// serveReads is the ladder beside the serve-durable writes: 1000 requests
-// in each nominal window, which together fill the first 60% of the run
-// (see serveNominal), then 1.5 times the nominal rate for the rest. Twice
-// the nominal rate passed in some runs and failed in others.
-func serveReads(seconds int) readLadder {
-	nominal := serveNominal(seconds)
-	w := nominal / nominalWindows
-	rate := 1000 / w.Seconds()
-	return readLadder{Nominal: rate, Window: w, Upper: 1.5 * rate, UpperD: time.Duration(seconds)*time.Second - nominal}
-}
-
-// readReport summarises one read ladder.
-type readReport struct {
-	Steps []stepVerdict `json:"steps"`
-	// P50 and P99 are the medians over the nominal windows, in ms.
-	P50       float64 `json:"nominal_p50_ms"`
-	P99       float64 `json:"nominal_p99_ms"`
-	Sustained float64 `json:"sustained_rps"`
-	// late is the generator's sending delay over the nominal windows, where
-	// the read latency is reported.
-	late []float64
-	mix  *readMix
-}
-
-// runReads drives the GET mix over the ladder on one connection.
-// read_sustained_rps is the achieved rate of the highest sustained rate. Unfenced, the steps run back to back
-// from start. Fenced, each step starts right after a forced collection: an
-// idle daemon's reads allocate so slowly that a natural collection would
-// land in some windows and not in others, and make their p99 jump.
-func runReads(d *daemon, l readLadder, seed int64, start time.Time, fenced bool, tr *tracer) readReport {
-	steps := l.steps()
-	mix := newReadMix(d.client(), len(ladderSchedule(steps)), seed, tr)
-	var rs []opResult
-	var starts []time.Time
-	if fenced {
-		off := 0
-		for si, s := range steps {
-			runtime.GC()
-			at := time.Now().Add(5 * time.Millisecond)
-			ops := ladderSchedule([]step{s})
-			for i := range ops {
-				ops[i].Step = si
-			}
-			base := off
-			rs = append(rs, runOpenLoop(wallClock{}, at, ops, readMaxLate, func(i int) error { return mix.do(base + i) })...)
-			starts = append(starts, at)
-			off += len(ops)
-		}
-	} else {
-		rs = runOpenLoop(wallClock{}, start, ladderSchedule(steps), readMaxLate, mix.do)
-		at := start
-		for _, s := range steps {
-			starts = append(starts, at)
-			at = at.Add(s.Duration)
-		}
-	}
-	rep := readReport{mix: mix}
-	for _, o := range rs {
-		if o.Step < nominalWindows {
-			rep.late = append(rep.late, ms(o.Late()))
-		}
-	}
-	var p50, p99, achieved []float64
-	passed := 0
-	for si, s := range steps {
-		v := evaluateStep(rs, si, s, starts[si], readLimit)
-		rep.Steps = append(rep.Steps, v)
-		if si < nominalWindows {
-			p50 = append(p50, v.Latency.P50)
-			p99 = append(p99, v.Latency.P99)
-			achieved = append(achieved, v.Achieved)
-			if v.Sustained {
-				passed++
-			}
-			continue
-		}
-		// The nominal rate is sustained when most of its windows are, the
-		// same majority its reported latency is the median of.
-		switch nominalOK := 2*passed > nominalWindows; {
-		case nominalOK && v.Sustained:
-			rep.Sustained = v.Achieved
-		case nominalOK:
-			rep.Sustained = median(achieved)
-		}
-	}
-	rep.P50, rep.P99 = median(p50), median(p99)
-	return rep
-}
-
 // account adds the mix's request counts to the run.
 func (rep readReport) account(r *runner) {
 	a, f := rep.mix.totals()
@@ -415,11 +298,28 @@ func (rep readReport) account(r *runner) {
 	}
 }
 
-// stopAndRecover stops d the way cmd/streamd does, then recovers its
-// directory (see repeatTimed), checking every recovered engine's exported
-// state equals the one exported just before the stop. It returns the
-// recovery with the median time, and the records the daemon had kept.
+// stopAndRecover stops d and recovers its directory in two ways:
+//   - From a crash: a copy of the directory taken just before the stop,
+//     as a daemon that died after its last checkpoint leaves it, with the
+//     WAL written since. Resume replays that tail. This recovery is timed
+//     (see repeatTimed) and checked for what replay restores: every
+//     submission visible again, with the stopped daemon's Submitted,
+//     Analyzed and Duplicates counters. Whether the whole exported state
+//     matches too is recorded, not checked: replaying a tail can group
+//     campaigns differently from the live run (see README.md).
+//   - From the stop cmd/streamd makes on SIGTERM: a parting checkpoint,
+//     then the listener. Recovering it once must give back exactly the
+//     state exported before the stop.
+//
+// It returns the crash recovery with the median time, and the records the
+// daemon had kept.
 func stopAndRecover(r *runner, d *daemon, tr *tracer) (recovery, []model.Record) {
+	crash, err := tempDir(r.scratch, "crash-")
+	if err == nil {
+		err = copyDir(d.dir, crash)
+	}
+	r.check("copy the data directory before the stop", err)
+	live := d.eng.Stats()
 	before, err := d.stop()
 	r.check("daemon stop", err)
 	if before == nil {
@@ -431,34 +331,57 @@ func stopAndRecover(r *runner, d *daemon, tr *tracer) (recovery, []model.Record)
 			kept = append(kept, o.Outcome.Record)
 		}
 	}
-	want := before.Counters.Analyzed + before.Counters.Duplicates
+	want := live.Analyzed + live.Duplicates
 	wantDigest, err := stateDigest(before)
+	before = nil
 	if err != nil {
 		r.check("state digest", err)
 		return recovery{}, kept
 	}
-	before = nil
-	var recs []recovery
-	repeatTimed(func() (time.Duration, error) {
-		rec, err := recoverDir(d.cfg, d.dir, want, tr)
-		if err != nil {
-			r.check("recovery", err)
-			return 0, err
-		}
-		got, err := stateDigest(rec.State)
-		if err == nil && got != wantDigest {
+
+	rec, err := recoverDir(d.cfg, d.dir, want, true, tr)
+	if err == nil {
+		var got string
+		if got, err = stateDigest(rec.State); err == nil && got != wantDigest {
 			err = fmt.Errorf("recovered state %.12s differs from the state exported before the stop %.12s", got, wantDigest)
 		}
-		r.check("recovered ExportState equals the pre-stop export", err)
-		rec.State = nil
+	}
+	r.check("recovered ExportState equals the pre-stop export", err)
+	r.details["recovery_graceful_s"] = rec.Seconds
+
+	var recs []recovery
+	repeatTimed(func() (time.Duration, error) {
+		rec, err := recoverDir(d.cfg, crash, want, len(recs) == 0, tr)
+		if err == nil {
+			err = countersEqual(rec.Stats, live)
+		}
+		r.check("WAL replay restores the visible count and counters", err)
+		if err != nil {
+			return 0, err
+		}
+		if rec.State != nil {
+			got, err := stateDigest(rec.State)
+			r.details["wal_replay_state_equal"] = err == nil && got == wantDigest
+			rec.State = nil
+		}
 		recs = append(recs, rec)
-		return time.Duration(rec.Seconds * float64(time.Second)), err
+		return time.Duration(rec.Seconds * float64(time.Second)), nil
 	})
 	if len(recs) == 0 {
 		return recovery{}, kept
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seconds < recs[j].Seconds })
 	return recs[len(recs)/2], kept
+}
+
+// countersEqual compares the submission counters of a recovered engine
+// with the stopped one's.
+func countersEqual(got, want stream.Stats) error {
+	if got.Submitted != want.Submitted || got.Analyzed != want.Analyzed || got.Duplicates != want.Duplicates {
+		return fmt.Errorf("recovered submitted/analyzed/duplicates %d/%d/%d, stopped daemon had %d/%d/%d",
+			got.Submitted, got.Analyzed, got.Duplicates, want.Submitted, want.Analyzed, want.Duplicates)
+	}
+	return nil
 }
 
 // checkpointOnce times one POST /api/v1/checkpoint.
@@ -496,7 +419,7 @@ func serveFinal(r *runner, fx fixture, final *stream.EngineState, reg *obs.Regis
 	if err != nil {
 		return out, err
 	}
-	out.reads = runReads(d, finalReads, r.seed, time.Time{}, true, tr)
+	out.reads = runReads(d, finalReads, r.seed, time.Time{}, true, tr, nil)
 	out.reads.account(r)
 
 	sc := newScenarioRunner(r, d.eng, fx.cfg, reg, tr)
