@@ -88,27 +88,3 @@ func BenchmarkStreamIngest(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkStreamLiveSnapshot measures the cost of a mid-ingestion live view
-// (incremental snapshot + cached profit refresh), which the stats HTTP
-// endpoint pays per request.
-func BenchmarkStreamLiveSnapshot(b *testing.B) {
-	u := universeOfSize(b, 1000)
-	cfg := core.NewFromUniverse(u).StreamConfig()
-	eng := stream.New(cfg)
-	ctx := context.Background()
-	eng.Start(ctx)
-	for _, h := range u.Corpus.Hashes() {
-		s, _ := u.Corpus.Get(h)
-		if err := eng.Submit(ctx, s); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := eng.Finish(ctx); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eng.Live(10)
-	}
-}

@@ -18,6 +18,7 @@ import (
 	"cryptomining/internal/obs"
 	"cryptomining/internal/stream"
 	"cryptomining/pkg/apiv1"
+	"cryptomining/pkg/client"
 )
 
 // testUniverse generates the shared corpus once; engines treat samples as
@@ -103,11 +104,6 @@ func TestMethodGuards(t *testing.T) {
 		{http.MethodDelete, "/api/v1/campaigns", "GET, HEAD"},
 		{http.MethodGet, "/api/v1/samples", "POST"},
 		{http.MethodGet, "/api/v1/checkpoint", "POST"},
-		{http.MethodPut, "/stats", "GET, HEAD"},
-		{http.MethodPost, "/campaigns", "GET, HEAD"},
-		{http.MethodPost, "/results", "GET, HEAD"},
-		{http.MethodGet, "/checkpoint", "POST"},
-		{http.MethodPost, "/healthz", "GET, HEAD"},
 	}
 	for _, tc := range cases {
 		req, _ := http.NewRequest(tc.method, d.ts.URL+tc.path, nil)
@@ -127,93 +123,93 @@ func TestMethodGuards(t *testing.T) {
 	}
 }
 
+// TestResultsPending503 pins the one Retry-After hint both pending
+// resources share: the results while the run is in flight, and a scenario
+// delta while its replay cannot start (the held collector mutex blocks the
+// replay's state export).
 func TestResultsPending503(t *testing.T) {
-	d := newTestDaemon(t, api.Config{RetryAfter: 3 * time.Second})
-	for _, path := range []string{"/api/v1/results", "/results"} {
-		resp, err := http.Get(d.ts.URL + path)
+	d := newScenarioDaemon(t)
+	c, err := client.New(d.ts.URL)
+	if err != nil {
+		t.Fatalf("client.New: %v", err)
+	}
+	ctx := context.Background()
+	release := sync.OnceFunc(d.eng.HoldCollectorLock())
+	defer release()
+	sub, err := c.SubmitScenario(ctx, apiv1.ScenarioRequest{
+		Interventions: []apiv1.ScenarioIntervention{{
+			Kind: apiv1.ScenarioPoolBan,
+			At:   time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC),
+		}},
+	})
+	if err != nil {
+		t.Fatalf("SubmitScenario: %v", err)
+	}
+
+	cases := []struct{ path, code string }{
+		{"/api/v1/results", apiv1.CodeResultsPending},
+		{"/api/v1/scenarios/" + sub.ID + "/delta", apiv1.CodeScenarioPending},
+	}
+	for _, tc := range cases {
+		resp, err := http.Get(d.ts.URL + tc.path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("%s: status %d, want 503", path, resp.StatusCode)
+			t.Errorf("%s: status %d, want 503", tc.path, resp.StatusCode)
 		}
-		if got := resp.Header.Get("Retry-After"); got != "3" {
-			t.Fatalf("%s: Retry-After %q, want \"3\"", path, got)
+		if got := resp.Header.Get("Retry-After"); got != "1" {
+			t.Errorf("%s: Retry-After %q, want \"1\"", tc.path, got)
 		}
-		if env := decodeEnvelope(t, resp); env.Error.Code != apiv1.CodeResultsPending {
-			t.Fatalf("%s: code %q", path, env.Error.Code)
+		if env := decodeEnvelope(t, resp); env.Error.Code != tc.code {
+			t.Errorf("%s: code %q, want %q", tc.path, env.Error.Code, tc.code)
 		}
+	}
+
+	// Let the replay finish so it does not outlive the test.
+	release()
+	if _, err := c.WaitScenarioDelta(ctx, sub.ID); err != nil {
+		t.Fatalf("WaitScenarioDelta: %v", err)
 	}
 }
 
 func TestCheckpointDisabled409(t *testing.T) {
 	d := newTestDaemon(t, api.Config{})
-	for _, path := range []string{"/api/v1/checkpoint", "/checkpoint"} {
-		resp, err := http.Post(d.ts.URL+path, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusConflict {
-			t.Fatalf("%s: status %d, want 409", path, resp.StatusCode)
-		}
-		if env := decodeEnvelope(t, resp); env.Error.Code != apiv1.CodePersistenceDisabled {
-			t.Fatalf("%s: code %q", path, env.Error.Code)
-		}
+	resp, err := http.Post(d.ts.URL+"/api/v1/checkpoint", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("status %d, want 409", resp.StatusCode)
+	}
+	if env := decodeEnvelope(t, resp); env.Error.Code != apiv1.CodePersistenceDisabled {
+		t.Fatalf("code %q", env.Error.Code)
 	}
 }
 
-func TestLegacyEndpointsAnswer(t *testing.T) {
-	d := newTestDaemon(t, api.Config{DefaultTopN: 3})
-	d.ingestAll(t)
-	d.finish(t)
-
-	// /healthz keeps its historical plain body.
-	resp, err := http.Get(d.ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+// TestUnversionedPathsNotFound pins the single read surface: the historical
+// unversioned paths are gone and answer like any unknown path.
+func TestUnversionedPathsNotFound(t *testing.T) {
+	d := newTestDaemon(t, api.Config{})
+	cases := []struct{ method, path string }{
+		{http.MethodGet, "/stats"},
+		{http.MethodGet, "/campaigns?n=3"},
+		{http.MethodGet, "/results"},
+		{http.MethodPost, "/checkpoint"},
+		{http.MethodGet, "/healthz"},
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if string(body) != "ok\n" {
-		t.Fatalf("/healthz body %q", body)
-	}
-
-	// /stats decodes into the wire stats.
-	var st apiv1.Stats
-	getJSON(t, d.ts.URL+"/stats", &st)
-	if st.Analyzed != int64(d.u.Corpus.Len()) {
-		t.Fatalf("/stats analyzed %d, want %d", st.Analyzed, d.u.Corpus.Len())
-	}
-
-	// /campaigns keeps the bare-array shape and the ?n= semantics.
-	var views []apiv1.Campaign
-	getJSON(t, d.ts.URL+"/campaigns", &views)
-	if len(views) != 3 {
-		t.Fatalf("/campaigns default: %d views, want top-3", len(views))
-	}
-	getJSON(t, d.ts.URL+"/campaigns?n=-5", &views)
-	if len(views) != 3 {
-		t.Fatalf("/campaigns?n=-5: %d views, want default 3", len(views))
-	}
-	var all []apiv1.Campaign
-	getJSON(t, d.ts.URL+"/campaigns?n=0", &all)
-	if len(all) <= 3 {
-		t.Fatalf("/campaigns?n=0 returned %d views", len(all))
-	}
-	resp, err = http.Get(d.ts.URL + "/campaigns?n=zzz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("/campaigns?n=zzz: status %d, want 400", resp.StatusCode)
-	}
-	decodeEnvelope(t, resp)
-
-	// /results serves the summary after drain.
-	var res apiv1.Results
-	getJSON(t, d.ts.URL+"/results", &res)
-	if res.Samples != d.u.Corpus.Len() {
-		t.Fatalf("/results samples %d, want %d", res.Samples, d.u.Corpus.Len())
+	for _, tc := range cases {
+		req, _ := http.NewRequest(tc.method, d.ts.URL+tc.path, nil)
+		resp, err := d.ts.Client().Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
+		}
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", tc.method, tc.path, resp.StatusCode)
+		}
+		if env := decodeEnvelope(t, resp); env.Error.Code != apiv1.CodeNotFound {
+			t.Errorf("%s %s: code %q, want %q", tc.method, tc.path, env.Error.Code, apiv1.CodeNotFound)
+		}
 	}
 }
 

@@ -125,32 +125,6 @@ func (s *Server) handleCampaignDetail(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, DetailToWire(detail))
 }
 
-// handleLegacyCampaigns keeps the historical surface: ?n= (invalid -> 400,
-// negative -> default top-N, 0 -> all) and a bare JSON array body.
-func (s *Server) handleLegacyCampaigns(w http.ResponseWriter, r *http.Request) {
-	n := s.cfg.DefaultTopN
-	if raw := r.URL.Query().Get("n"); raw != "" {
-		parsed, err := strconv.Atoi(raw)
-		if err != nil {
-			s.error(w, http.StatusBadRequest, apiv1.CodeBadRequest,
-				fmt.Sprintf("invalid n=%q: must be an integer", raw))
-			return
-		}
-		if parsed >= 0 {
-			n = parsed
-		}
-	}
-	v := s.cfg.Engine.CurrentView()
-	if s.notModified(w, r, etagForEpoch(v.Epoch)) {
-		return
-	}
-	views := v.Campaigns
-	if n > 0 && n < len(views) {
-		views = views[:n]
-	}
-	s.writeJSON(w, http.StatusOK, CampaignsToWire(views))
-}
-
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	var res *stream.Results
 	if s.cfg.Results != nil {
@@ -159,7 +133,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if res == nil {
 		// 503 + Retry-After, not 404: the route exists, the resource is just
 		// not ready yet, and pollers should keep polling.
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())))
+		w.Header().Set("Retry-After", retryAfterSeconds)
 		s.error(w, http.StatusServiceUnavailable, apiv1.CodeResultsPending,
 			"results pending: replay still in flight")
 		return
@@ -197,7 +171,7 @@ func (s *Server) submitWire(w http.ResponseWriter, ctx context.Context, ws apiv1
 	// legitimately take arbitrarily long, but any single sample the engine
 	// cannot absorb within the request timeout is a stall, and the client
 	// should see the advertised 503 instead of hanging.
-	sctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
+	sctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	if err := s.cfg.Submit(sctx, sample); err != nil {
 		switch {
@@ -300,7 +274,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	events, cancel := s.cfg.Engine.Subscribe(s.cfg.EventBuffer)
+	events, cancel := s.cfg.Engine.Subscribe(eventBuffer)
 	defer cancel()
 
 	if sse {
@@ -434,11 +408,6 @@ func (s *Server) handleCampaignTimeline(w http.ResponseWriter, r *http.Request) 
 	s.writeJSON(w, http.StatusOK, TimelineToWire(id, snap))
 }
 
-func (s *Server) handleHealthV1(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, apiv1.Health{Status: "ok"})
-}
-
-// handleHealthLegacy keeps the historical plain-text probe body.
-func (s *Server) handleHealthLegacy(w http.ResponseWriter, r *http.Request) {
-	fmt.Fprintln(w, "ok")
 }

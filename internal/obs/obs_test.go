@@ -35,7 +35,7 @@ func requireValidExposition(t *testing.T, text string) {
 
 func TestCounterGaugeExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("requests_total", "Requests served.", L("route", "/stats"))
+	c := r.Counter("requests_total", "Requests served.", L("route", "/api/v1/stats"))
 	c.Inc()
 	c.Add(2)
 	g := r.Gauge("queue_depth", "Queue depth.")
@@ -48,7 +48,7 @@ func TestCounterGaugeExposition(t *testing.T) {
 	requireValidExposition(t, text)
 	for _, want := range []string{
 		"# TYPE requests_total counter",
-		`requests_total{route="/stats"} 3`,
+		`requests_total{route="/api/v1/stats"} 3`,
 		"# TYPE queue_depth gauge",
 		"queue_depth 4",
 		"cache_size 42",

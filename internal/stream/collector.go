@@ -459,8 +459,9 @@ func (c *collector) finalize() *Results {
 	res.Aggregation = c.agg.Snapshot()
 	res.Campaigns = res.Aggregation.Campaigns
 	// Price every campaign once and seed the live-view cache with the final
-	// figures: Live calls after Finish then only read, never re-price — they
-	// must not mutate campaigns shared with the returned Results.
+	// figures: view publications after Finish then only read, never
+	// re-price — they must not mutate campaigns shared with the returned
+	// Results.
 	c.profitCache = make(map[*model.Campaign]profit.CampaignProfit, len(res.Campaigns))
 	for _, cam := range res.Campaigns {
 		cp := profit.AnalyzeCampaignWith(cam, c.collect, c.e.cfg.QueryTime)

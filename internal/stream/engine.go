@@ -37,7 +37,7 @@ var ErrFinished = errors.New("stream: submit after Finish")
 //	res, err := eng.Finish(ctx)
 //
 // Submit blocks when the bounded dataflow is full (backpressure). Stats and
-// Live may be called at any time from any goroutine.
+// CurrentView may be called at any time from any goroutine.
 type Engine struct {
 	cfg      Config
 	analyzer *static.Analyzer
@@ -667,42 +667,6 @@ func viewOf(c *model.Campaign, cp profit.CampaignProfit) CampaignView {
 		USD:         cp.USD,
 		Active:      cp.ActiveAt,
 	}
-}
-
-// Live returns the top n campaigns by earnings (all of them when n <= 0)
-// from the last published snapshot. Lock-free: never blocks on the collector.
-func (e *Engine) Live(n int) []CampaignView {
-	views := e.LiveFiltered(CampaignFilter{})
-	if n > 0 && n < len(views) {
-		views = views[:n]
-	}
-	return views
-}
-
-// LiveFiltered returns the matching campaigns from the last published
-// snapshot, sorted by earnings (highest first). Lock-free: the view is
-// pre-sorted at publication, and filtering preserves the stable order, so
-// the result is identical to sorting after filtering.
-func (e *Engine) LiveFiltered(f CampaignFilter) []CampaignView {
-	v := e.view.Load()
-	views := make([]CampaignView, 0, len(v.Campaigns))
-	for _, cv := range v.Campaigns {
-		if f.Matches(cv) {
-			views = append(views, cv)
-		}
-	}
-	return views
-}
-
-// CampaignDetail returns the full view of the campaign with the given
-// snapshot ID from the last published snapshot, or false when no such
-// campaign exists. IDs are positions in the deterministic partition
-// ordering, so they are stable for a fixed sample set but may shift as new
-// campaigns appear mid-ingestion. Lock-free: details are built once per
-// publication, so a detail request never stalls ingestion.
-func (e *Engine) CampaignDetail(id int) (CampaignDetail, bool) {
-	d, ok := e.view.Load().Details[id]
-	return d, ok
 }
 
 // HasSample reports whether the collector has already recorded an outcome

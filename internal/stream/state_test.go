@@ -168,7 +168,8 @@ func TestEngineStartSubmitStatsRace(t *testing.T) {
 	var wg sync.WaitGroup
 	done := make(chan struct{})
 
-	// Readers: Stats and Live from the very first moment, racing Start.
+	// Readers: Stats and the published view from the very first moment,
+	// racing Start.
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func() {
@@ -183,7 +184,7 @@ func TestEngineStartSubmitStatsRace(t *testing.T) {
 						t.Errorf("Stats saw %d shards", st.Shards)
 						return
 					}
-					_ = eng.Live(3)
+					_ = eng.CurrentView()
 					_ = eng.ExportState()
 				}
 			}

@@ -182,8 +182,8 @@ func TestEngineStatsAndLive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Live views must be callable mid-flight.
-	_ = eng.Live(5)
+	// The published view must be readable mid-flight.
+	_ = eng.CurrentView()
 	st := eng.Stats()
 	if st.Submitted < int64(half) {
 		t.Fatalf("submitted counter %d < %d", st.Submitted, half)
@@ -216,13 +216,13 @@ func TestEngineStatsAndLive(t *testing.T) {
 			t.Fatalf("stage %s processed %d != %d", stage.Name, stage.Processed, len(hashes))
 		}
 	}
-	views := eng.Live(3)
-	if len(res.Profits) >= 3 && len(views) != 3 {
-		t.Fatalf("Live(3) returned %d views", len(views))
+	views := eng.CurrentView().Campaigns
+	if len(views) != len(res.Campaigns) {
+		t.Fatalf("final view lists %d campaigns, results %d", len(views), len(res.Campaigns))
 	}
 	for i := 1; i < len(views); i++ {
 		if views[i].XMR > views[i-1].XMR {
-			t.Fatalf("Live views not sorted by earnings")
+			t.Fatalf("view campaigns not sorted by earnings")
 		}
 	}
 }

@@ -2,7 +2,6 @@ package stream_test
 
 import (
 	"context"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -36,15 +35,6 @@ func TestViewCoversQuiescedEngine(t *testing.T) {
 	v := eng.CurrentView()
 	if v.Epoch == 0 {
 		t.Fatal("no view published after full ingestion")
-	}
-	live := eng.Live(0)
-	if len(live) != len(v.Campaigns) {
-		t.Fatalf("Live(0) %d campaigns, view %d", len(live), len(v.Campaigns))
-	}
-	for i := range live {
-		if !reflect.DeepEqual(live[i], v.Campaigns[i]) {
-			t.Fatalf("Live(0)[%d] != view campaign: %+v vs %+v", i, live[i], v.Campaigns[i])
-		}
 	}
 	for i := 1; i < len(v.Campaigns); i++ {
 		if v.Campaigns[i].XMR > v.Campaigns[i-1].XMR {
@@ -113,7 +103,13 @@ func TestViewReadsDuringIngest(t *testing.T) {
 					}
 				}
 				// Exercise the filtered path too.
-				eng.LiveFiltered(stream.CampaignFilter{MinXMR: 0.001})
+				f := stream.CampaignFilter{MinXMR: 0.001}
+				for _, cv := range v.Campaigns {
+					if f.Matches(cv) != (cv.XMR >= f.MinXMR) {
+						t.Errorf("epoch %d: filter mismatch for %d", v.Epoch, cv.ID)
+						return
+					}
+				}
 			}
 		}()
 	}
@@ -155,13 +151,12 @@ func TestReadsDoNotBlockOnCollectorMutex(t *testing.T) {
 	go func() {
 		defer close(done)
 		eng.Stats()
-		eng.Live(0)
-		eng.LiveFiltered(stream.CampaignFilter{})
 		if v := eng.CurrentView(); len(v.Campaigns) > 0 {
-			eng.CampaignDetail(v.Campaigns[0].ID)
 			eng.CampaignTimeline(v.Campaigns[0].ID, stream.TimeseriesQuery{})
 		}
 		eng.Timeseries(stream.TimeseriesQuery{})
+		_, cancel := eng.Subscribe(1)
+		cancel()
 	}()
 	select {
 	case <-done:

@@ -124,7 +124,7 @@ type CampaignDetail struct {
 }
 
 // Results is the final run summary (GET /api/v1/results). Field names match
-// the pre-v1 /results body, which the legacy alias still serves.
+// the pre-v1 /results body, so summaries recorded before v1 still decode.
 type Results struct {
 	Samples          int     `json:"samples"`
 	Kept             int     `json:"kept"`

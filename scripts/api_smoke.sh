@@ -41,12 +41,12 @@ echo "== SDK ingestion + diff against batch output =="
 go run ./cmd/apismoke -addr "http://127.0.0.1:$PORT" -seed $SEED -scale $SCALE \
   -table8 "$WORK/batch/table8_top_campaigns.txt"
 
-echo "== legacy aliases still answer =="
-curl -sf "http://127.0.0.1:$PORT/stats" >/dev/null
-curl -sf "http://127.0.0.1:$PORT/campaigns?n=3" >/dev/null
-code=$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$PORT/results")
+echo "== read endpoints answer =="
+curl -sf "http://127.0.0.1:$PORT/api/v1/stats" >/dev/null
+curl -sf "http://127.0.0.1:$PORT/api/v1/campaigns?limit=3" >/dev/null
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$PORT/api/v1/results")
 if [ "$code" != 503 ]; then
-  echo "FATAL: /results while in flight returned $code, want 503" >&2
+  echo "FATAL: /api/v1/results while in flight returned $code, want 503" >&2
   exit 1
 fi
 

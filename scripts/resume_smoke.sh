@@ -4,7 +4,7 @@
 # Runs a clean (in-memory) streamd replay to capture reference results, then
 # a durable run that is SIGKILLed mid-replay, restarted from its -data-dir,
 # and required to (a) actually resume (not restart from scratch) and
-# (b) produce byte-identical /results to the clean run.
+# (b) produce byte-identical /api/v1/results to the clean run.
 #
 # Usage: scripts/resume_smoke.sh [path-to-streamd-binary]
 set -euo pipefail
@@ -18,16 +18,16 @@ WORK=$(mktemp -d)
 trap 'kill -9 ${PIDS[@]:-} 2>/dev/null || true; rm -rf "$WORK"' EXIT
 PIDS=()
 
-# poll_results <port> <outfile> — wait until /results answers 200.
+# poll_results <port> <outfile> — wait until /api/v1/results answers 200.
 poll_results() {
   local port=$1 out=$2 i
   for i in $(seq 1 240); do
-    if curl -sf "http://127.0.0.1:$port/results" -o "$out" 2>/dev/null; then
+    if curl -sf "http://127.0.0.1:$port/api/v1/results" -o "$out" 2>/dev/null; then
       return 0
     fi
     sleep 0.5
   done
-  echo "FATAL: /results on :$port never became ready" >&2
+  echo "FATAL: /api/v1/results on :$port never became ready" >&2
   return 1
 }
 
@@ -67,4 +67,4 @@ if ! diff "$WORK/clean.json" "$WORK/resumed.json"; then
 fi
 
 echo "OK: $(grep -o 'resumed from[^,]*, [0-9]* WAL entries replayed' "$WORK/resume.log" | head -1)"
-echo "OK: resumed /results byte-identical to the clean run"
+echo "OK: resumed /api/v1/results byte-identical to the clean run"

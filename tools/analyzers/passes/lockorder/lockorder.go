@@ -14,21 +14,23 @@
 //  4. Acquisition order: within one function, the engine mutex must never be
 //     acquired after a timeseries-store lock.
 //
-// The call graph is intra-package and name-precise (edges follow
-// types.Object identity, including method values), but conservative about
-// dynamic dispatch: calls through interfaces or function values are not
-// followed. That is the usual go/analysis trade-off — the invariants here
-// guard hand-written handler plumbing, which is direct calls.
+// The call graph is the shared intra-package dataflow.Graph: name-precise
+// (edges follow types.Object identity, including method values), but
+// conservative about dynamic dispatch: calls through interfaces or function
+// values are not followed. That is the usual go/analysis trade-off — the
+// invariants here guard hand-written handler plumbing, which is direct calls.
+// This pass only adds the per-function scan of lock sites, engine calls and
+// GET-handler registrations.
 package lockorder
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"cryptomining/tools/analyzers/analysis"
+	"cryptomining/tools/analyzers/internal/dataflow"
 	"cryptomining/tools/analyzers/internal/lintutil"
 )
 
@@ -55,7 +57,7 @@ func init() {
 	Analyzer.Flags.StringVar(&mutexField, "mutex", "mu",
 		"name of the mutex field on both types")
 	Analyzer.Flags.StringVar(&readsafe, "readsafe",
-		"CurrentView,Stats,Subscribe,Timeseries,CampaignTimeline,Live,LiveFiltered,CampaignDetail",
+		"CurrentView,Stats,Subscribe,Timeseries,CampaignTimeline",
 		"engine methods GET handlers may call (verified mutex-free by rule 2)")
 }
 
@@ -70,13 +72,8 @@ func parseRef(s string) typeRef {
 	return typeRef{s[:i], s[i+1:]}
 }
 
-// funcNode is one top-level function in the package under analysis.
-type funcNode struct {
-	decl *ast.FuncDecl
-	obj  *types.Func
-	// callees are package-local functions referenced anywhere in the body
-	// (calls and method/function values alike).
-	callees []*types.Func
+// sites is what one function body does that the rules care about.
+type sites struct {
 	// engineLocks are positions of direct <engine>.mu.Lock()/RLock() calls.
 	engineLocks []token.Pos
 	// storeLocks are positions of direct <store>.mu.Lock()/RLock() calls.
@@ -135,15 +132,27 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 
-	nodes, index := buildGraph(pass, engine, store)
+	graph := dataflow.NewGraph([]dataflow.Source{{Files: pass.Files, Pkg: pass.Pkg, Info: pass.TypesInfo}})
+	scan := make(map[*types.Func]*sites, len(graph.Nodes))
+	for _, n := range graph.Nodes {
+		s := &sites{}
+		ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
+			if call, ok := node.(*ast.CallExpr); ok {
+				s.scanCall(pass, call, engine, store)
+			}
+			return true
+		})
+		scan[n.Obj] = s
+	}
 
 	// Rule 4: acquisition order within one function.
-	for _, n := range nodes {
-		for _, ep := range n.engineLocks {
-			for _, sp := range n.storeLocks {
+	for _, n := range graph.Nodes {
+		s := scan[n.Obj]
+		for _, ep := range s.engineLocks {
+			for _, sp := range s.storeLocks {
 				if sp < ep {
 					report(ep,
-						"engine mutex acquired after the timeseries-store lock in %s: the documented order is engine mutex strictly above the store lock", n.obj.Name())
+						"engine mutex acquired after the timeseries-store lock in %s: the documented order is engine mutex strictly above the store lock", n.Obj.Name())
 					break
 				}
 			}
@@ -152,18 +161,19 @@ func run(pass *analysis.Pass) (any, error) {
 
 	// Rule 1: nothing reachable from a GET handler may lock the engine.
 	roots := map[*types.Func]bool{}
-	for _, n := range nodes {
-		for _, r := range n.getRoots {
+	for _, s := range scan {
+		for _, r := range s.getRoots {
 			roots[r] = true
 		}
 	}
 	for root := range roots {
-		for _, n := range reachable(index, root) {
-			for _, pos := range n.engineLocks {
+		for _, n := range graph.Reachable([]*types.Func{root}) {
+			s := scan[n.Obj]
+			for _, pos := range s.engineLocks {
 				report(pos,
 					"engine mutex acquired on the GET read path (reachable from handler %s): GET handlers must serve from the published snapshot", root.Name())
 			}
-			for _, ec := range n.engineCalls {
+			for _, ec := range s.engineCalls {
 				if !safe[ec.name] {
 					report(ec.pos,
 						"GET read path (handler %s) calls (%s).%s, which is not in the read-safe set {%s}: it may acquire the engine mutex and stall ingestion",
@@ -176,17 +186,14 @@ func run(pass *analysis.Pass) (any, error) {
 	// Rule 2: declared read-safe methods must really be mutex-free. Only
 	// checkable in the engine's own package.
 	if engine.pkgFrag != "" && strings.Contains(pass.Pkg.Path(), engine.pkgFrag) {
-		for _, n := range nodes {
-			if n.decl.Recv == nil || !safe[n.obj.Name()] {
+		for _, n := range graph.Nodes {
+			if n.Decl.Recv == nil || !safe[n.Obj.Name()] || !methodOnType(n.Obj, engine) {
 				continue
 			}
-			if !methodOnType(n.obj, engine) {
-				continue
-			}
-			for _, m := range reachable(index, n.obj) {
-				if len(m.engineLocks) > 0 {
-					report(n.decl.Name.Pos(),
-						"read-safe method %s reaches an engine-mutex acquisition in %s: remove it from the read-safe set or make it lock-free", n.obj.Name(), m.obj.Name())
+			for _, m := range graph.Reachable([]*types.Func{n.Obj}) {
+				if len(scan[m.Obj].engineLocks) > 0 {
+					report(n.Decl.Name.Pos(),
+						"read-safe method %s reaches an engine-mutex acquisition in %s: remove it from the read-safe set or make it lock-free", n.Obj.Name(), m.Obj.Name())
 					break
 				}
 			}
@@ -195,60 +202,25 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// buildGraph indexes every top-level function with its lock sites, engine
-// calls, local references and GET-handler registrations.
-func buildGraph(pass *analysis.Pass, engine, store typeRef) ([]*funcNode, map[*types.Func]*funcNode) {
-	var nodes []*funcNode
-	index := map[*types.Func]*funcNode{}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			n := &funcNode{decl: fd, obj: obj}
-			ast.Inspect(fd.Body, func(node ast.Node) bool {
-				switch e := node.(type) {
-				case *ast.CallExpr:
-					n.scanCall(pass, e, engine, store)
-				case *ast.Ident:
-					if fn, ok := pass.TypesInfo.Uses[e].(*types.Func); ok && fn.Pkg() == pass.Pkg {
-						n.callees = append(n.callees, fn)
-					}
-				}
-				return true
-			})
-			nodes = append(nodes, n)
-			index[obj] = n
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].decl.Pos() < nodes[j].decl.Pos() })
-	return nodes, index
-}
-
 // scanCall classifies one call expression: lock acquisition, engine method
 // call, or GET-handler registration.
-func (n *funcNode) scanCall(pass *analysis.Pass, call *ast.CallExpr, engine, store typeRef) {
+func (s *sites) scanCall(pass *analysis.Pass, call *ast.CallExpr, engine, store typeRef) {
 	if fn := lintutil.Callee(pass.TypesInfo, call); fn != nil {
 		if name := fn.Name(); name == "Lock" || name == "RLock" {
 			if recv := lockReceiver(pass.TypesInfo, call); recv != nil {
 				if lintutil.IsTypeIn(recv, engine.typeName, engine.pkgFrag) {
-					n.engineLocks = append(n.engineLocks, call.Pos())
+					s.engineLocks = append(s.engineLocks, call.Pos())
 				}
 				if lintutil.IsTypeIn(recv, store.typeName, store.pkgFrag) {
-					n.storeLocks = append(n.storeLocks, call.Pos())
+					s.storeLocks = append(s.storeLocks, call.Pos())
 				}
 			}
 		}
 		if methodOnType(fn, engine) {
-			n.engineCalls = append(n.engineCalls, engineCall{pos: call.Pos(), name: fn.Name()})
+			s.engineCalls = append(s.engineCalls, engineCall{pos: call.Pos(), name: fn.Name()})
 		}
 	}
-	n.scanRegistration(pass, call)
+	s.scanRegistration(pass, call)
 }
 
 // scanRegistration detects GET-handler registration shapes:
@@ -256,7 +228,7 @@ func (n *funcNode) scanCall(pass *analysis.Pass, call *ast.CallExpr, engine, sto
 //	handle(pattern, s.handleX, http.MethodGet, ...)   — any call mixing a
 //	    MethodGet argument with package-local function values
 //	mux.HandleFunc("GET /path", s.handleX)            — Go 1.22 pattern routing
-func (n *funcNode) scanRegistration(pass *analysis.Pass, call *ast.CallExpr) {
+func (s *sites) scanRegistration(pass *analysis.Pass, call *ast.CallExpr) {
 	hasGet := false
 	var fns []*types.Func
 	for _, arg := range call.Args {
@@ -268,8 +240,8 @@ func (n *funcNode) scanRegistration(pass *analysis.Pass, call *ast.CallExpr) {
 		}
 	}
 	if !hasGet && len(call.Args) >= 2 {
-		if s, ok := lintutil.ConstString(pass.TypesInfo, call.Args[0]); ok &&
-			(strings.HasPrefix(s, "GET ") || strings.HasPrefix(s, "HEAD ")) {
+		if pat, ok := lintutil.ConstString(pass.TypesInfo, call.Args[0]); ok &&
+			(strings.HasPrefix(pat, "GET ") || strings.HasPrefix(pat, "HEAD ")) {
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 				if name := sel.Sel.Name; name == "Handle" || name == "HandleFunc" {
 					hasGet = true
@@ -278,7 +250,7 @@ func (n *funcNode) scanRegistration(pass *analysis.Pass, call *ast.CallExpr) {
 		}
 	}
 	if hasGet {
-		n.getRoots = append(n.getRoots, fns...)
+		s.getRoots = append(s.getRoots, fns...)
 	}
 }
 
@@ -317,28 +289,4 @@ func lockReceiver(info *types.Info, call *ast.CallExpr) types.Type {
 // methodOnType reports whether fn is a method on the referenced type.
 func methodOnType(fn *types.Func, ref typeRef) bool {
 	return lintutil.MethodOn(fn, ref.typeName, ref.pkgFrag)
-}
-
-// reachable returns every node reachable from root (inclusive) over
-// package-local references.
-func reachable(index map[*types.Func]*funcNode, root *types.Func) []*funcNode {
-	seen := map[*types.Func]bool{}
-	var out []*funcNode
-	var walk func(fn *types.Func)
-	walk = func(fn *types.Func) {
-		if seen[fn] {
-			return
-		}
-		seen[fn] = true
-		n, ok := index[fn]
-		if !ok {
-			return
-		}
-		out = append(out, n)
-		for _, c := range n.callees {
-			walk(c)
-		}
-	}
-	walk(root)
-	return out
 }
